@@ -116,18 +116,24 @@ def _copy_cost_us(nbytes: int) -> float:
 # Execution tiers: closure-threaded code vs the reference interpreter
 # ----------------------------------------------------------------------
 
-#: Relative threaded-vs-interpreter floor enforced by the tier-1 smoke
-#: guard (tests/wasm/test_tier_smoke.py reads it from the results JSON).
+#: Relative floors enforced by the tier-1 smoke guards
+#: (tests/wasm/test_tier_smoke.py reads them from the results JSON): the
+#: per-block closures, and the superblocks, each against the interpreter.
 SMOKE_FLOOR = 2.0
+SUPERBLOCK_SMOKE_FLOOR = 6.0
 
-#: Geomean Polybench speedup the tiered engine must deliver (ISSUE 1).
+#: Geomean Polybench speedup the per-block closures must deliver.
 GEOMEAN_TARGET = 3.0
 
+#: A fuel budget no kernel exhausts: metering it makes the threaded tier
+#: run its per-block closures instead of the superblocks.
+METERED = 10**15
 
-def _time_kernel(module, tier: str, n: int) -> tuple[float, int, object]:
+
+def _time_kernel(module, tier: str, n: int, fuel=None) -> tuple[float, int, object]:
     from repro.wasm import instantiate
 
-    inst = instantiate(module, tier=tier)
+    inst = instantiate(module, tier=tier, fuel=fuel)
     inst.invoke("kernel", 4)  # warm-up: triggers lazy threading
     before = inst.instructions_executed
     start = time.perf_counter()
@@ -136,47 +142,66 @@ def _time_kernel(module, tier: str, n: int) -> tuple[float, int, object]:
     return elapsed, inst.instructions_executed - before, result
 
 
-def test_tiered_throughput_polybench():
-    """Polybench on both tiers: per-kernel speedup and the geomean the
-    tentpole promises (≥3×), recorded for EXPERIMENTS.md."""
+def _geomean(values) -> float:
     import math
 
+    return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+def test_tiered_throughput_polybench():
+    """Polybench on every execution path: the interpreter, the per-block
+    closures (metered fuel) and the superblocks (unmetered, the runtime
+    default). Records per-kernel speedups and the geomeans for
+    EXPERIMENTS.md; the per-block geomean must meet the ≥3× target."""
     from repro.apps.kernels import KERNELS
 
     rows = []
-    speedups = []
+    block_speedups = []
+    sb_speedups = []
     for name in sorted(KERNELS):
         kernel = KERNELS[name]
         module = build(kernel.source)
         n = kernel.default_n
         t_interp, instrs, r_interp = _time_kernel(module, "interp", n)
-        t_threaded, instrs_t, r_threaded = _time_kernel(module, "threaded", n)
-        assert r_threaded == r_interp, f"{name}: tier results diverge"
-        assert instrs_t == instrs, f"{name}: tier instruction counts diverge"
-        speedup = t_interp / t_threaded
-        speedups.append(speedup)
+        t_block, instrs_b, r_block = _time_kernel(module, "threaded", n, METERED)
+        t_sb, instrs_s, r_sb = _time_kernel(module, "threaded", n)
+        assert r_block == r_interp == r_sb, f"{name}: tier results diverge"
+        assert instrs_b == instrs == instrs_s, f"{name}: instruction counts diverge"
+        block_speedups.append(t_interp / t_block)
+        sb_speedups.append(t_interp / t_sb)
         rows.append(
             {
                 "kernel": name,
                 "interp_ms": round(t_interp * 1e3, 2),
-                "threaded_ms": round(t_threaded * 1e3, 2),
+                "threaded_ms": round(t_block * 1e3, 2),
+                "superblock_ms": round(t_sb * 1e3, 2),
                 "interp_mips": round(instrs / t_interp / 1e6, 2),
-                "threaded_mips": round(instrs / t_threaded / 1e6, 2),
-                "speedup": round(speedup, 2),
+                "threaded_mips": round(instrs / t_block / 1e6, 2),
+                "superblock_mips": round(instrs / t_sb / 1e6, 2),
+                "speedup": round(block_speedups[-1], 2),
+                "superblock_speedup": round(sb_speedups[-1], 2),
             }
         )
-    geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
+    geomean = _geomean(block_speedups)
+    sb_geomean = _geomean(sb_speedups)
     rows.append(
         {
             "kernel": "geomean",
             "speedup": round(geomean, 2),
+            "superblock_speedup": round(sb_geomean, 2),
+            "superblock_over_blocks": round(sb_geomean / geomean, 2),
             "smoke_floor": SMOKE_FLOOR,
+            "superblock_smoke_floor": SUPERBLOCK_SMOKE_FLOOR,
         }
     )
     report("vm_throughput_tiered", "Execution tiers: Polybench", rows)
     assert geomean >= GEOMEAN_TARGET, (
         f"threaded tier geomean speedup {geomean:.2f}x below "
         f"{GEOMEAN_TARGET}x target"
+    )
+    assert sb_geomean > geomean, (
+        f"superblocks ({sb_geomean:.2f}x) not faster than the per-block "
+        f"closures ({geomean:.2f}x)"
     )
 
 

@@ -195,6 +195,7 @@ def cmd_profile(args) -> int:
         print(f"{'pair':<40}{'count':>14}{'share':>9}")
         for (a, b), count in pairs:
             print(f"{a + ' ; ' + b:<40}{count:>14,}{count / total:>8.1%}")
+    _print_superblocks(inst)
     if args.export:
         artifact = export.build_artifact(
             telemetry.spans(),
@@ -205,6 +206,28 @@ def cmd_profile(args) -> int:
             json.dump(artifact, f)
         print(f"wrote telemetry artifact to {args.export}", file=sys.stderr)
     return 0
+
+
+def _print_superblocks(inst) -> None:
+    """Per-function superblock counts of the threaded tier (profiling ran
+    on the interpreter, so functions are threaded here if needed)."""
+    from repro.wasm import CompiledFunction, thread_function
+
+    rows = []
+    for fn in inst.funcs:
+        if not isinstance(fn, CompiledFunction):
+            continue
+        if fn.threaded is None:
+            fn.threaded = thread_function(fn, inst.module)
+        sbs = fn.threaded.superblocks
+        if sbs:
+            rows.append((fn.name or "?", len(sbs), " ".join(sbs.values())))
+    print(f"\nsuperblocks (call-free loop nests, threaded tier): "
+          f"{sum(n for _, n, _ in rows)} in {len(rows)} functions")
+    if rows:
+        print(f"{'function':<24}{'count':>6}  regions")
+        for name, n, regions in rows:
+            print(f"{name:<24}{n:>6}  {regions}")
 
 
 def cmd_trace(args) -> int:

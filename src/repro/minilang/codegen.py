@@ -1,7 +1,10 @@
 """Code generation: minilang AST → ``repro.wasm`` module.
 
 The generated module uses a simple bump allocator (``__alloc``) for ``new``
-arrays, growing linear memory on demand and trapping on out-of-memory.
+arrays, growing linear memory on demand and trapping on out-of-memory. The
+heap only hands out pages it grew itself: memory also holds pages the host
+appends (mapped shared state, ``mmap``), so the allocator tracks its own
+end rather than trusting ``memory.size``.
 Array accesses lower to bounds-checked wasm loads/stores, so any indexing
 error becomes an SFI trap rather than a silent corruption — exactly the
 property Faaslets rely on (§2.2).
@@ -19,6 +22,9 @@ from .parser import parse
 
 #: Byte offset where the guest heap starts (below it: scratch/data area).
 HEAP_BASE = 1024
+
+#: Pages of linear memory a module starts with (the heap's first pages).
+INITIAL_PAGES = 1
 
 _SCALAR_TO_WASM = {"int": I32, "long": I64, "float": F64}
 
@@ -378,6 +384,7 @@ class Compiler:
         self.funcs: dict[str, tuple[int, ast.Type, list[ast.Type]]] = {}
         self.globals: dict[str, tuple[int, ast.Type]] = {}
         self.heap_global = 0
+        self.heap_end_global = 0
         #: Interned string literals: bytes -> data-segment address.
         self._strings: dict[bytes, int] = {}
         self._data_cursor = 16  # low addresses reserved for string data
@@ -395,7 +402,7 @@ class Compiler:
 
     # ------------------------------------------------------------------
     def compile(self) -> Module:
-        self.builder.add_memory(1, None)
+        self.builder.add_memory(INITIAL_PAGES, None)
         self.heap_global = self.builder.add_global(I32, HEAP_BASE, mutable=True)
 
         for decl in self.program.globals:
@@ -405,6 +412,10 @@ class Compiler:
                 wasm_type(decl.type), decl.init, mutable=True
             )
             self.globals[decl.name] = (idx, decl.type)
+        # After the program's globals, so theirs keep indices 1, 2, ...
+        self.heap_end_global = self.builder.add_global(
+            I32, INITIAL_PAGES << 16, mutable=True
+        )
 
         for ext in self.program.externs:
             ftype = FuncType(
@@ -481,7 +492,20 @@ class Compiler:
 
     # ------------------------------------------------------------------
     def _emit_alloc(self) -> int:
-        """Emit the bump allocator: ``__alloc(bytes: int) -> int``."""
+        """Emit the bump allocator: ``__alloc(bytes: int) -> int``.
+
+        The heap owns ``[HEAP_BASE, heap_end)``. An allocation that would
+        pass ``heap_end`` grows memory; when the fresh pages do not start at
+        ``heap_end`` (the host appended mapped state or ``mmap`` pages in
+        between), the allocation starts at the first fresh page instead, so
+        the heap never hands out a page it did not grow.
+        """
+        heap, heap_end = self.heap_global, self.heap_end_global
+        trap_if_failed = [
+            Instr("i32.const", (-1,)),
+            Instr("i32.eq"),
+            Instr("if", (BlockType(), [Instr("unreachable")], [])),
+        ]
         body = [
             # bytes = (bytes + 7) & ~7
             Instr("local.get", (0,)),
@@ -490,42 +514,75 @@ class Compiler:
             Instr("i32.const", (-8,)),
             Instr("i32.and"),
             Instr("local.set", (0,)),
-            # addr = heap
-            Instr("global.get", (self.heap_global,)),
-            Instr("local.set", (1,)),
-            # heap = addr + bytes
-            Instr("local.get", (1,)),
+            # addr = heap; top = addr + bytes
+            Instr("global.get", (heap,)),
+            Instr("local.tee", (1,)),
             Instr("local.get", (0,)),
-            Instr("i32.add",),
-            Instr("local.tee", (2,)),
-            Instr("global.set", (self.heap_global,)),
-            # needed = (heap + 65535) >> 16
-            Instr("local.get", (2,)),
-            Instr("i32.const", (65535,)),
             Instr("i32.add"),
-            Instr("i32.const", (16,)),
-            Instr("i32.shr_u"),
-            Instr("local.set", (3,)),
+            Instr("local.set", (2,)),
             Instr(
                 "block",
                 (
                     BlockType(),
                     [
-                        Instr("local.get", (3,)),
-                        Instr("memory.size"),
-                        Instr("i32.le_s"),
+                        Instr("local.get", (2,)),
+                        Instr("global.get", (heap_end,)),
+                        Instr("i32.le_u"),
                         Instr("br_if", (0,)),
-                        Instr("local.get", (3,)),
-                        Instr("memory.size"),
+                        # old = memory.grow((top - heap_end + 65535) >> 16)
+                        Instr("local.get", (2,)),
+                        Instr("global.get", (heap_end,)),
                         Instr("i32.sub"),
+                        Instr("i32.const", (65535,)),
+                        Instr("i32.add"),
+                        Instr("i32.const", (16,)),
+                        Instr("i32.shr_u"),
                         Instr("memory.grow"),
-                        Instr("i32.const", (-1,)),
-                        Instr("i32.ne"),
-                        Instr("br_if", (0,)),
-                        Instr("unreachable"),
+                        Instr("local.tee", (3,)),
+                        *trap_if_failed,
+                        Instr(
+                            "block",
+                            (
+                                BlockType(),
+                                [
+                                    Instr("local.get", (3,)),
+                                    Instr("i32.const", (16,)),
+                                    Instr("i32.shl"),
+                                    Instr("global.get", (heap_end,)),
+                                    Instr("i32.eq"),
+                                    Instr("br_if", (0,)),
+                                    # Fresh pages are not contiguous with
+                                    # the heap: addr = old << 16, and grow
+                                    # until the whole block fits in them.
+                                    Instr("local.get", (3,)),
+                                    Instr("i32.const", (16,)),
+                                    Instr("i32.shl"),
+                                    Instr("local.tee", (1,)),
+                                    Instr("local.get", (0,)),
+                                    Instr("i32.add"),
+                                    Instr("local.tee", (2,)),
+                                    Instr("i32.const", (65535,)),
+                                    Instr("i32.add"),
+                                    Instr("i32.const", (16,)),
+                                    Instr("i32.shr_u"),
+                                    Instr("memory.size"),
+                                    Instr("i32.sub"),
+                                    Instr("memory.grow"),
+                                    *trap_if_failed,
+                                ],
+                            ),
+                        ),
+                        # The pages just grown end memory and belong to
+                        # the heap.
+                        Instr("memory.size"),
+                        Instr("i32.const", (16,)),
+                        Instr("i32.shl"),
+                        Instr("global.set", (heap_end,)),
                     ],
                 ),
             ),
+            Instr("local.get", (2,)),
+            Instr("global.set", (heap,)),
             Instr("local.get", (1,)),
         ]
         return self.builder.add_function(

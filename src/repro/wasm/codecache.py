@@ -38,8 +38,9 @@ _KEY_ATTR = "_codecache_key"
 #: different lowering), so object code cached by an older build is never
 #: reused for a module that now compiles differently — the analogue of a
 #: machine-code version tag in an on-disk object cache. "2" added the
-#: vector ISA (v128), shared-memory atomics and the guest-thread ops.
-ISA_VERSION = "repro-isa-2"
+#: vector ISA (v128), shared-memory atomics and the guest-thread ops; "3"
+#: compiles call-free loop nests into superblocks.
+ISA_VERSION = "repro-isa-3"
 
 
 def module_key(module: Module) -> str:

@@ -622,6 +622,21 @@ TYPED_LOADS = {
     "i64.atomic.load": LinearMemory.atomic_load_i64,
 }
 
+#: op mnemonic -> (packer, width) for the plain 32/64-bit accesses whose
+#: single-page fast path superblocks inline (``repro.wasm.threaded``): the
+#: same struct packers the ``load_*``/``store_*`` methods above use, so an
+#: inlined access reads and writes exactly the bytes the method would.
+PAGE_ACCESS = {
+    "i32.load": (_U32.unpack_from, 4),
+    "i64.load": (_U64.unpack_from, 8),
+    "f32.load": (_F32.unpack_from, 4),
+    "f64.load": (_F64.unpack_from, 8),
+    "i32.store": (_U32.pack_into, 4),
+    "i64.store": (_U64.pack_into, 8),
+    "f32.store": (_F32.pack_into, 4),
+    "f64.store": (_F64.pack_into, 8),
+}
+
 TYPED_STORES = {
     "i32.store": LinearMemory.store_i32,
     "i64.store": LinearMemory.store_i64,

@@ -113,13 +113,21 @@ def _s_i32x4_mul(a: bytes, b: bytes) -> bytes:
 def _s_i32x4_min_s(a: bytes, b: bytes) -> bytes:
     a0, a1, a2, a3 = _I32X4_S.unpack(a)
     b0, b1, b2, b3 = _I32X4_S.unpack(b)
-    return _I32X4_S.pack(min(a0, b0), min(a1, b1), min(a2, b2), min(a3, b3))
+    # Conditional expressions, not min(): same result (the first operand
+    # on ties), without four builtin calls per vector.
+    return _I32X4_S.pack(
+        b0 if b0 < a0 else a0, b1 if b1 < a1 else a1,
+        b2 if b2 < a2 else a2, b3 if b3 < a3 else a3,
+    )
 
 
 def _s_i32x4_max_s(a: bytes, b: bytes) -> bytes:
     a0, a1, a2, a3 = _I32X4_S.unpack(a)
     b0, b1, b2, b3 = _I32X4_S.unpack(b)
-    return _I32X4_S.pack(max(a0, b0), max(a1, b1), max(a2, b2), max(a3, b3))
+    return _I32X4_S.pack(
+        b0 if b0 > a0 else a0, b1 if b1 > a1 else a1,
+        b2 if b2 > a2 else a2, b3 if b3 > a3 else a3,
+    )
 
 
 def _s_f64x2_add(a: bytes, b: bytes) -> bytes:

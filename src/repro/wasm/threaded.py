@@ -10,7 +10,7 @@ a trivial dispatch loop::
     while pc >= 0:
         pc = ops[pc](stack, locals_, frame)
 
-Three techniques carry the speedup:
+Four techniques carry the speedup:
 
 * **Closure threading** — every block closure captures its immediates,
   operator callables (from :data:`~repro.wasm.ops.BINOPS`/``UNOPS``),
@@ -38,6 +38,14 @@ Three techniques carry the speedup:
   at exactly the same instruction — with the same partial side effects and
   the same ``instructions_executed`` — as the reference tier.
 
+* **Superblocks** — every outermost call-free loop nest is additionally
+  compiled into one Python function installed in its entry block's slot:
+  wasm loops become ``while True:`` loops, locals live in Python locals,
+  and 32/64/128-bit loads and stores inline their single-page fast path.
+  A superblock runs only when fuel is unmetered; with metered fuel it
+  hands the region to the per-block closures above (see
+  :class:`_SuperblockCompiler`).
+
 Threaded code depends only on the *module* (function types for calls),
 never on instance state: memory, globals, table and fuel arrive through
 the per-call :class:`Frame`. One threaded body is therefore shared by
@@ -53,7 +61,7 @@ call boundaries and normal function exit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     IndirectCallTypeMismatch,
@@ -69,7 +77,7 @@ from .instructions import (
     LOAD_OPS,
     STORE_OPS,
 )
-from .memory import TYPED_LOADS, TYPED_STORES
+from .memory import PAGE_ACCESS, TYPED_LOADS, TYPED_STORES
 from .ops import BINOPS, UNOPS
 from .simd import SIMD_EXTRACT_OPS, SIMD_REPLACE_OPS
 from .values import MASK32
@@ -107,6 +115,9 @@ class ThreadedCode:
     mnemonics: list
     #: Number of flat instructions this code was threaded from.
     n_flat: int
+    #: Threaded pc -> ``loop@<flat_start>+<n>`` for every block whose slot
+    #: holds a superblock (a whole call-free loop nest in one function).
+    superblocks: dict = field(default_factory=dict)
 
 
 # ----------------------------------------------------------------------
@@ -1075,8 +1086,10 @@ class _BlockCompiler:
         return False
 
 
-def _compile_block(block_id, code, start, end, ctx, intern):
-    """Generate source for one basic block closure named ``_blk<id>``."""
+def _binder(intern):
+    """Return ``(bind, params)``: ``bind(obj)`` names ``obj`` as a default
+    parameter of the function being generated; ``params`` collects the
+    ``name=global`` declarations for its signature."""
     bound: dict[int, str] = {}  # id(obj) -> local param name
     params: list[str] = []
 
@@ -1090,6 +1103,12 @@ def _compile_block(block_id, code, start, end, ctx, intern):
             params.append(f"{name}={gname}")
         return name
 
+    return bind, params
+
+
+def _compile_block(block_id, code, start, end, ctx, intern):
+    """Generate source for one basic block closure named ``_blk<id>``."""
+    bind, params = _binder(intern)
     cost = end - start
     next_block = ctx.flat2t.get(end, -1)  # -1: the block ends in a transfer
     bc = _BlockCompiler(bind, ctx, next_block)
@@ -1126,12 +1145,476 @@ def _compile_block(block_id, code, start, end, ctx, intern):
     return "\n".join(header + ["    " + line for line in bc.lines])
 
 
+# ----------------------------------------------------------------------
+# Superblocks: a whole call-free loop nest compiled into one function
+# ----------------------------------------------------------------------
+
+#: Opcodes that hand control to the runtime (and need the call-boundary
+#: fuel handshake); a region containing one keeps its per-block closures.
+_NOT_IN_SUPERBLOCK = frozenset(["call", "call_indirect", "memory.atomic.wait32"])
+
+#: CPython allows 20 statically nested loops per function and 100
+#: indentation levels; regions nested deeper keep their per-block closures.
+_MAX_LOOP_NESTING = 16
+_MAX_INDENT = 90
+
+#: Vector accesses inlined like :data:`~repro.wasm.memory.PAGE_ACCESS`,
+#: as 16-byte slice copies (what ``load_v128``/``store_v128`` do).
+_V128_ACCESS = frozenset(["v128.load", "v128.store"])
+
+class _Ineligible(Exception):
+    """The region cannot be compiled as one superblock."""
+
+
+class _PyLoop:
+    """One ``while True:`` of a superblock."""
+
+    __slots__ = ("uid", "escapes", "broken")
+
+    def __init__(self, uid: int):
+        self.uid = uid
+        #: ``_br`` flags set inside this loop for a loop further out.
+        self.escapes: set[int] = set()
+        #: Some branch leaves this loop with ``break``.
+        self.broken = False
+
+
+class _Label:
+    """A wasm label inside a superblock and the Python jump that takes it."""
+
+    __slots__ = ("loop", "action", "owns")
+
+    def __init__(self, loop=None, action="break", owns=False):
+        self.loop = loop
+        self.action = action
+        #: The label opens ``loop`` itself (else it has none or shares its
+        #: only child loop's).
+        self.owns = owns
+
+
+def _structure(code) -> tuple[dict, dict]:
+    """Matching ``end`` pc and enclosing-label count of every construct."""
+    ends: dict[int, int] = {}
+    depth: dict[int, int] = {}
+    ctrl: list[int] = []
+    for pc, ins in enumerate(code):
+        op = ins[0]
+        if op in ("block", "loop", "if"):
+            depth[pc] = len(ctrl)
+            ctrl.append(pc)
+        elif op == "end":
+            ends[ctrl.pop()] = pc
+    return ends, depth
+
+
+def _is_loop_nest(code, start: int, end: int) -> bool:
+    """A call-free region of void constructs that contains a loop."""
+    has_loop = False
+    for pc in range(start, end + 1):
+        ins = code[pc]
+        op = ins[0]
+        if op in _NOT_IN_SUPERBLOCK:
+            return False
+        if op == "loop":
+            has_loop = True
+            if ins[2]:
+                return False
+        elif op == "block" and (ins[2] or ins[3]):
+            return False
+        elif op == "if" and (ins[3] or ins[4]):
+            return False
+    return has_loop
+
+
+def _loop_nests(code, ends: dict) -> list[tuple[int, int]]:
+    """Outermost call-free loop nests, as ``(start, end)`` flat pcs."""
+    regions = []
+    pc = 0
+    while pc < len(code):
+        if code[pc][0] in ("block", "loop") and _is_loop_nest(code, pc, ends[pc]):
+            regions.append((pc, ends[pc]))
+            pc = ends[pc] + 1
+        else:
+            pc += 1
+    return regions
+
+
+class _SuperblockCompiler(_BlockCompiler):
+    """Lower one call-free loop nest to the body of a single function.
+
+    Locals live in Python locals (``l<i>``), and the operand stack must be
+    empty at every basic-block boundary, so values only ever flow through
+    symbolic expressions and locals. Structured control maps onto Python's:
+    every wasm ``loop`` becomes a ``while True:`` (``br`` to it is
+    ``continue``, falling off its end is ``break``); a ``block`` or ``if``
+    that a branch targets becomes a ``while True:`` left with ``break``;
+    and a ``block`` whose body is exactly one loop shares that loop's
+    ``break``. A branch past the innermost ``while`` stores the target
+    loop's uid (and whether to continue it) in ``_br`` and breaks; each
+    enclosing loop tests the flag on the way out. Branches to labels
+    outside the region and returns leave the function through
+    :meth:`exit`. Each basic block still adds its flat cost to ``ex`` as
+    it is entered, in flat-code order.
+    """
+
+    def __init__(self, bind, ctx, code, leaders, costs, ends, outer_depth):
+        super().__init__(bind, ctx, None)
+        self.code = code
+        self.leaders = leaders
+        self.costs = costs
+        self.ends = ends
+        #: Labels enclosing the region (``frame.labels`` on entry).
+        self.outer_depth = outer_depth
+        self.label_of: dict[int, _Label] = {}
+        self.labels: list[_Label] = []
+        self.loops: list[_PyLoop] = []
+        self.indent = 1
+        #: Locals the region mentions (loaded on entry) and sets (written
+        #: back on every exit).
+        self.used: set[int] = set()
+        self.writes: set[int] = set()
+        self.dead = False
+        self.uses_pages = False
+        self.uses_flag = False
+
+    # -- helpers -------------------------------------------------------
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+    def pop(self) -> tuple[str, frozenset]:
+        if not self.sym:
+            raise _Ineligible("operand from outside the region")
+        return self.sym.pop()
+
+    def name(self, expr: str) -> str:
+        """``expr`` as something cheap to mention more than once."""
+        if expr.isidentifier() or expr.isdigit():
+            return expr
+        return self.materialize(expr)
+
+    def plan(self, start: int, end: int) -> None:
+        """Collect the locals the region uses and give every construct its
+        label: which ``while`` a branch to it leaves or restarts."""
+        ctrl: list[int] = []
+        targeted: set[int] = set()
+        constructs = []
+        for pc in range(start, end + 1):
+            ins = self.code[pc]
+            op = ins[0]
+            if op in ("block", "loop", "if"):
+                ctrl.append(pc)
+                constructs.append(pc)
+            elif op == "end":
+                ctrl.pop()
+            elif op in ("br", "br_if", "br_table"):
+                depths = (ins[1],) if op != "br_table" else tuple(ins[1]) + (ins[2],)
+                targeted.update(ctrl[-1 - d] for d in depths if d < len(ctrl))
+            elif op in ("local.get", "local.set", "local.tee"):
+                self.used.add(ins[1])
+                if op != "local.get":
+                    self.writes.add(ins[1])
+        for uid, pc in enumerate(constructs, 1):
+            if self.code[pc][0] == "loop":
+                self.label_of[pc] = _Label(_PyLoop(uid), "continue", owns=True)
+        for uid, pc in enumerate(constructs, 1):
+            op = self.code[pc][0]
+            if op == "loop":
+                continue
+            end_pc = self.ends[pc]
+            if (op == "block" and self.code[pc + 1][0] == "loop"
+                    and self.ends[pc + 1] == end_pc - 1
+                    and end_pc not in self.leaders):
+                # Leaving the loop lands on this block's `end`, which runs
+                # nothing: ``break`` of the loop takes both labels.
+                self.label_of[pc] = _Label(self.label_of[pc + 1].loop)
+            elif pc in targeted:
+                self.label_of[pc] = _Label(_PyLoop(uid), owns=True)
+            else:
+                self.label_of[pc] = _Label()
+
+    def leader(self, pc: int) -> None:
+        if self.sym:
+            raise _Ineligible("operand live across a block boundary")
+        self.emit(f"ex += {self.costs[pc]}")
+
+    def open_loop(self, loop: _PyLoop) -> None:
+        if len(self.loops) >= _MAX_LOOP_NESTING:
+            raise _Ineligible("loops nested too deeply")
+        self.emit("while True:")
+        self.indent += 1
+        self.loops.append(loop)
+
+    def close_loop(self, loop: _PyLoop, fell_through: bool) -> None:
+        if fell_through:
+            self.emit("break")
+        self.indent -= 1
+        self.loops.pop()
+        if loop.escapes:
+            outer = self.loops[-1]
+            self.emit("if _br:")
+            self.indent += 1
+            for flag in sorted(loop.escapes):
+                if flag >> 1 == outer.uid:
+                    self.emit(f"if _br == {flag}:")
+                    self.emit("    _br = 0")
+                    self.emit("    continue" if flag & 1 else "    break")
+            if any(flag >> 1 != outer.uid for flag in loop.escapes):
+                self.emit("break")
+            self.indent -= 1
+        self.dead = not (fell_through or loop.broken)
+
+    # -- control -------------------------------------------------------
+    def exit(self, result: str) -> None:
+        """Leave the region: spill pending operands to the real stack,
+        write back the locals the region sets and flush the count."""
+        if self.sym:
+            self.emit(f"stack.extend(({', '.join(e for e, _ in self.sym)},))")
+        if self.writes:
+            self.emit("; ".join(f"L[{i}] = l{i}" for i in sorted(self.writes)))
+        self.emit("frame.executed = ex")
+        self.emit(f"return {result}")
+
+    def branch(self, d: int) -> None:
+        """Emit ``br d``; the symbolic stack is left for the caller."""
+        if d >= len(self.labels):
+            d -= len(self.labels)
+            if d >= self.outer_depth:
+                self.exit("-1")
+            else:
+                # Trims frame.labels and the stack exactly like the
+                # per-block closures would.
+                self.exit(f"{self.bind(_do_branch)}(stack, frame.labels, {d})")
+            return
+        label = self.labels[-1 - d]
+        loop = label.loop
+        if label.action == "break":
+            loop.broken = True
+        if loop is self.loops[-1]:
+            self.emit(label.action)
+            return
+        flag = loop.uid << 1 | (label.action == "continue")
+        for inner in self.loops[self.loops.index(loop) + 1:]:
+            inner.escapes.add(flag)
+        self.uses_flag = True
+        self.emit(f"_br = {flag}")
+        self.emit("break")
+
+    def cond_branch(self, cond: str, d: int) -> None:
+        self.emit(f"if {cond}:")
+        self.indent += 1
+        self.branch(d)
+        self.indent -= 1
+
+    def seq(self, pc: int, stop: int) -> None:
+        """Lower flat code ``[pc, stop)``; stops early once control can
+        no longer fall through (the rest is unreachable)."""
+        code = self.code
+        while pc < stop and not self.dead:
+            ins = code[pc]
+            op = ins[0]
+            if pc in self.leaders and op != "loop":
+                self.leader(pc)
+            if op == "block" or op == "loop":
+                pc = self.construct(pc)
+                continue
+            if op == "if":
+                pc = self.if_(pc)
+                continue
+            if op == "br":
+                self.branch(ins[1])
+                self.dead = True
+            elif op == "br_if":
+                cond, _ = self.pop()
+                self.cond_branch(cond, ins[1])
+            elif op == "br_table":
+                idx = self.name(self.pop()[0])
+                for j, d in enumerate(ins[1]):
+                    self.cond_branch(f"{idx} == {j}", d)
+                self.branch(ins[2])
+                self.dead = True
+            elif op == "return":
+                self.exit("-1")
+                self.dead = True
+            elif op == "unreachable":
+                self.emit(
+                    f"raise {self.bind(UnreachableExecuted)}('unreachable executed')"
+                )
+                self.dead = True
+            else:
+                self.lower(ins)
+            pc += 1
+        if self.dead:
+            self.sym.clear()
+
+    def construct(self, pc: int) -> int:
+        label = self.label_of[pc]
+        end = self.ends[pc]
+        self.labels.append(label)
+        if label.owns:
+            self.open_loop(label.loop)
+            if self.code[pc][0] == "loop":
+                self.leader(pc)  # a loop head is always a leader
+        self.seq(pc + 1, end)
+        if not self.dead and end in self.leaders:
+            self.leader(end)
+        self.labels.pop()
+        if label.owns:
+            self.close_loop(label.loop, not self.dead)
+        return end + 1
+
+    def if_(self, pc: int) -> int:
+        _op, false_pc, end = self.code[pc][:3]
+        label = self.label_of[pc]
+        cond, _ = self.pop()
+        if label.owns:
+            self.open_loop(label.loop)
+        self.labels.append(label)
+        else_pc = false_pc - 1 if false_pc != end else None
+        self.emit(f"if {cond}:")
+        self.suite(pc + 1, end if else_pc is None else else_pc, else_pc)
+        then_dead = self.dead
+        else_dead = False
+        if else_pc is not None:
+            self.dead = False
+            self.emit("else:")
+            self.suite(false_pc, end)
+            else_dead = self.dead
+        self.dead = then_dead and else_dead
+        if not self.dead:
+            self.leader(end)  # `else` jumps / `if` falls to the end
+        self.labels.pop()
+        if label.owns:
+            self.close_loop(label.loop, not self.dead)
+        return end + 1
+
+    def suite(self, pc: int, stop: int, closer: int | None = None) -> None:
+        """Lower ``[pc, stop)`` one level deeper; ``closer`` is the pc of an
+        ``else`` ending the suite, which may start a block of its own."""
+        if self.indent >= _MAX_INDENT:
+            raise _Ineligible("constructs nested too deeply")
+        self.indent += 1
+        mark = len(self.lines)
+        self.seq(pc, stop)
+        if closer is not None and not self.dead and closer in self.leaders:
+            self.leader(closer)
+        if len(self.lines) == mark:
+            self.emit("pass")
+        self.indent -= 1
+
+    # -- data ----------------------------------------------------------
+    def lower(self, ins) -> bool:
+        op = ins[0]
+        if op == "local.get":
+            i = ins[1]
+            self.push(f"l{i}", frozenset((i,)))
+        elif op == "local.set" or op == "local.tee":
+            i = ins[1]
+            e, _ = self.pop()
+            self.spill_local(i)
+            self.emit(f"l{i} = {e}")
+            if op == "local.tee":
+                self.push(f"l{i}", frozenset((i,)))
+        elif op == "drop":
+            self.pop()
+        elif op in PAGE_ACCESS or op in _V128_ACCESS:
+            self.page_access(op, ins[1])
+        else:
+            super().lower(ins)
+            if op == "memory.grow":
+                self.uses_pages = True
+                self.emit("nb = len(pages) << 16")
+        return False
+
+    def page_access(self, op: str, offset: int) -> None:
+        """Inline single-page fast path; anything else (page-straddling or
+        out-of-range addresses, read-only COW or write-protected shared
+        pages) calls the typed accessor, which traps or faults exactly as
+        the per-block closures do."""
+        packer, width = PAGE_ACCESS.get(op, (None, 16))
+        self.uses_mem = self.uses_pages = True
+        limit = 65536 - width
+        if op in TYPED_STORES:
+            v = self.name(self.pop()[0])
+            a = self.name(self.addr(self.pop()[0], offset))
+            self.emit(f"_o = {a} & 65535")
+            self.emit(
+                f"if _o <= {limit} and {a} < nb "
+                f"and (_pg := pages[{a} >> 16]).writable:"
+            )
+            if packer is None:
+                self.emit(f"    _pg.view[_o:_o + 16] = {v}")
+            else:
+                self.emit(f"    {self.bind(packer)}(_pg.view, _o, {v})")
+            self.emit("else:")
+            self.emit(f"    {self.bind(TYPED_STORES[op])}(mem, {a}, {v})")
+            return
+        a = self.name(self.addr(self.pop()[0], offset))
+        t = self.temp()
+        self.emit(f"_o = {a} & 65535")
+        self.emit(f"if _o <= {limit} and {a} < nb:")
+        if packer is None:
+            self.emit(f"    {t} = bytes(pages[{a} >> 16].view[_o:_o + 16])")
+        else:
+            self.emit(
+                f"    {t} = {self.bind(packer)}(pages[{a} >> 16].view, _o)[0]"
+            )
+        self.emit("else:")
+        self.emit(f"    {t} = {self.bind(TYPED_LOADS[op])}(mem, {a})")
+        self.push(t)
+
+
+def _compile_superblock(sb_id, code, start, end, ctx, intern, leaders, costs,
+                        ends, outer_depth, entry_block):
+    """Source for superblock ``_sb<id>`` covering flat ``[start, end]``,
+    or None when the region is not eligible."""
+    bind, params = _binder(intern)
+    sc = _SuperblockCompiler(bind, ctx, code, leaders, costs, ends, outer_depth)
+    try:
+        sc.plan(start, end)
+        sc.seq(start, end + 1)
+        if not sc.dead:
+            sc.exit(str(ctx.flat2t[end + 1]))
+    except _Ineligible:
+        return None
+    header = [
+        f"def _sb{sb_id}(stack, L, frame, "
+        f"{''.join(p + ', ' for p in params)}_orig=_blk{entry_block}):",
+        # Metered fuel (guest-thread quanta, OutOfFuel limits) runs the
+        # per-block closures, whose prologues charge fuel exactly.
+        "    if frame.fuel is not None:",
+        "        return _orig(stack, L, frame)",
+        "    ex = frame.executed",
+    ]
+    header += [f"    l{i} = L[{i}]" for i in sorted(sc.used)]
+    if sc.uses_mem:
+        header.append("    mem = frame.mem")
+    if sc.uses_pages:
+        # LinearMemory only ever mutates its page list in place, so the
+        # binding stays valid; `nb` is refreshed after memory.grow.
+        header.append("    pages = mem.pages")
+        header.append("    nb = len(pages) << 16")
+    if sc.uses_glb:
+        header.append("    G = frame.glb")
+    if sc.uses_flag:
+        header.append("    _br = 0")
+    return "\n".join(header + sc.lines)
+
+
 def thread_function(fn, module) -> ThreadedCode:
-    """Lower one flat-compiled function to closure-threaded block code."""
+    """Lower one flat-compiled function to closure-threaded block code,
+    with every eligible call-free loop nest also compiled as a superblock
+    installed in its entry block's slot."""
     code = fn.code
     n = len(code)
     targets = _static_branch_targets(code)
-    leaders = sorted(_find_leaders(code, targets))
+    ends, depth = _structure(code)
+    regions = _loop_nests(code, ends)
+    leader_set = _find_leaders(code, targets)
+    for start, end in regions:
+        # A superblock occupies whole blocks: it starts one and the code
+        # after it starts the next.
+        leader_set.update((start, end + 1))
+    leaders = sorted(leader_set)
     flat2t = {flat_pc: block_id for block_id, flat_pc in enumerate(leaders)}
     ctx = _Ctx(flat2t, module)
 
@@ -1151,6 +1634,20 @@ def thread_function(fn, module) -> ThreadedCode:
         costs.append(end - start)
         mnemonics.append(f"blk@{start}+{end - start}")
 
+    cost_at = dict(zip(leaders, costs))
+    superblocks = {}
+    for start, end in regions:
+        entry = flat2t[start]
+        src = _compile_superblock(
+            len(superblocks), code, start, end, ctx, intern, leader_set,
+            cost_at, ends, depth[start], entry,
+        )
+        if src is not None:
+            sources.append(src)
+            superblocks[entry] = f"loop@{start}+{end + 1 - start}"
+
     exec(compile("\n\n".join(sources), f"<threaded:{fn.name}>", "exec"), ns)
     ops = [ns[f"_blk{block_id}"] for block_id in range(len(leaders))]
-    return ThreadedCode(ops, costs, mnemonics, n)
+    for sb_id, entry in enumerate(superblocks):
+        ops[entry] = ns[f"_sb{sb_id}"]
+    return ThreadedCode(ops, costs, mnemonics, n, superblocks)

@@ -39,8 +39,8 @@ def test_colocated_workers_share_one_dataset_replica():
     cluster = FaasmCluster(n_hosts=1, capacity=8)
     setup_wasm_sgd(cluster, X, y)
     # Enough work per call that the four dispatches overlap and the pool
-    # grows past one Faaslet.
-    run_wasm_sgd(cluster, 400, 8, n_workers=4, epochs=3, lr=0.02)
+    # grows past one Faaslet (the VM's speed sets how much that is).
+    run_wasm_sgd(cluster, 400, 8, n_workers=4, epochs=8, lr=0.02)
     meter = cluster.instances[0].state_client.meter
     x_bytes = 400 * 8 * 8
     # Received: X once, y once, w once — NOT multiplied by the 4 workers.

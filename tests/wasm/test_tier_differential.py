@@ -20,14 +20,17 @@ from repro.wasm import (
     FuncType,
     HostFunc,
     I32,
+    I64,
     Instr,
     ModuleBuilder,
     OutOfFuel,
     Trap,
     ValidationError,
     instantiate,
+    thread_function,
     validate_module,
 )
+from repro.wasm.codegen import compile_module
 
 # ----------------------------------------------------------------------
 # Random-program generator (superset of the soundness-fuzz pool: adds the
@@ -156,6 +159,302 @@ def test_random_programs_fuel_sweep(body, results):
         _assert_tiers_agree(module, fuel)
 
 
+# ----------------------------------------------------------------------
+# Call-free loop nests: the superblock path of the threaded tier
+# ----------------------------------------------------------------------
+
+#: Locals of the loop-nest programs: two i32 params, one loop counter per
+#: nesting level, then i32 / i64 / f64 accumulators.
+_COUNTERS = 2
+_MAX_LEVEL = 3
+_X, _Y, _F = 5, 6, 7
+
+#: Bases at and around the first page edge (accesses straddle it), and
+#: around the end of memory (2 pages, 3 after a successful grow), where
+#: accesses trap out of bounds.
+_EDGE_BASES = [0, 8, 65472, 65520, 65528, 65529, 65530, 65532, 65533, 65535, 65536]
+_END_BASES = [131000, 131064, 131068, 131072, 196600, 196608]
+_bases = st.one_of(
+    st.sampled_from(_EDGE_BASES), st.sampled_from(_EDGE_BASES),
+    st.sampled_from(_EDGE_BASES), st.sampled_from(_END_BASES),
+)
+
+
+def _addr(draw, level):
+    out = [Instr("i32.const", (draw(_bases),))]
+    if level and draw(st.booleans()):
+        k = draw(st.integers(0, level - 1))
+        out += [
+            Instr("local.get", (_COUNTERS + k,)),
+            Instr("i32.const", (draw(st.sampled_from([1, 3, 4, 8])),)),
+            Instr("i32.mul"),
+            Instr("i32.add"),
+        ]
+    return out
+
+
+def _mem_stmt(draw, level):
+    off = (draw(st.sampled_from([0, 4, 8])),)
+    addr = _addr(draw, level)
+    kind = draw(st.sampled_from(["i32", "i64", "f64", "f32", "i32.8"]))
+    if draw(st.booleans()):  # store
+        value, op = {
+            "i32": ([Instr("local.get", (_X,))], "i32.store"),
+            "i64": ([Instr("local.get", (_Y,))], "i64.store"),
+            "f64": ([Instr("local.get", (_F,))], "f64.store"),
+            "f32": ([Instr("f32.const", (draw(st.floats(-1e3, 1e3)),))], "f32.store"),
+            "i32.8": ([Instr("local.get", (_X,))], "i32.store8"),
+        }[kind]
+        return addr + value + [Instr(op, off)]
+    acc, load, combine = {
+        "i32": (_X, ["i32.load"], "i32.add"),
+        "i64": (_Y, ["i64.load"], "i64.xor"),
+        "f64": (_F, ["f64.load"], "f64.add"),
+        "f32": (_F, ["f32.load", "f64.promote_f32"], "f64.add"),
+        "i32.8": (_X, ["i32.load8_s"], "i32.xor"),
+    }[kind]
+    return (
+        [Instr("local.get", (acc,))] + addr + [Instr(load[0], off)]
+        + [Instr(op) for op in load[1:]]
+        + [Instr(combine), Instr("local.set", (acc,))]
+    )
+
+
+def _counter_is(draw, level):
+    k = draw(st.integers(0, level - 1))
+    return [
+        Instr("local.get", (_COUNTERS + k,)),
+        Instr("i32.const", (draw(st.integers(0, 3)),)),
+        Instr("i32.eq"),
+    ]
+
+
+def _exit_stmt(draw, labels, level):
+    """Leave to any enclosing label, the function included, when a counter
+    hits a value: ``br_if`` for labels without a value, else ``if ... br``
+    (or ``return``) carrying the i32 accumulator."""
+    kinds = tuple(reversed(labels))  # depth 0 is the innermost label
+    d = draw(st.integers(0, len(kinds)))  # len(kinds): the function
+    cond = _counter_is(draw, level)
+    carries = d == len(kinds) or kinds[d] == "value"
+    if not carries and draw(st.booleans()):
+        return cond + [Instr("br_if", (d,))]
+    jump = [Instr("local.get", (_X,))] if carries else []
+    if carries and draw(st.booleans()):
+        jump.append(Instr("return"))
+    else:
+        jump.append(Instr("br", (d + 1,)))  # + 1: from inside the `if`
+    return cond + [Instr("if", (BlockType(), jump, []))]
+
+
+def _loop_nest(draw, labels, level):
+    """A counted loop; the counter decrements at the head, so ``br`` to
+    the loop (continue) always makes progress."""
+    c = _COUNTERS + level
+    inner = labels + ("block", "loop")
+    body = [
+        Instr("local.get", (c,)),
+        Instr("i32.eqz"),
+        Instr("br_if", (1,)),
+        Instr("local.get", (c,)),
+        Instr("i32.const", (1,)),
+        Instr("i32.sub"),
+        Instr("local.set", (c,)),
+        *_stmts(draw, inner, level + 1),
+    ]
+    if level + 1 < _MAX_LEVEL and draw(st.booleans()):
+        body += _loop_nest(draw, inner, level + 1) + _stmts(draw, inner, level + 1)
+    if draw(st.booleans()):
+        body.append(Instr("br", (0,)))
+    else:  # loop while the counter is non-zero, leaving through the end
+        body += [Instr("local.get", (c,)), Instr("br_if", (0,))]
+    return [
+        Instr("i32.const", (draw(st.integers(0, 8)),)),
+        Instr("local.set", (c,)),
+        Instr("block", (BlockType(), [Instr("loop", (BlockType(), body))])),
+    ]
+
+
+def _stmt(draw, labels, level):
+    choices = ["mem", "mem", "arith", "global", "grow", "if"]
+    if level:
+        choices += ["exit", "exit", "exit", "trap"]
+    if level < _MAX_LEVEL:
+        choices += ["loop", "loop"]
+    kind = draw(st.sampled_from(choices))
+    if kind == "mem":
+        return _mem_stmt(draw, level)
+    if kind == "arith":
+        op = draw(st.sampled_from(["i32.add", "i32.mul", "i32.xor", "i32.rotl"]))
+        src = _COUNTERS + draw(st.integers(0, level - 1)) if level else 0
+        return [
+            Instr("local.get", (_X,)),
+            Instr("local.get", (src,)),
+            Instr(op),
+            Instr("local.tee", (_X,)),
+            Instr("i64.extend_i32_u"),
+            Instr("local.get", (_Y,)),
+            Instr("i64.add"),
+            Instr("local.set", (_Y,)),
+        ]
+    if kind == "global":
+        return [
+            Instr("global.get", (0,)),
+            Instr("local.get", (_X,)),
+            Instr("i32.add"),
+            Instr("global.set", (0,)),
+        ]
+    if kind == "grow":
+        # Grow (fails past the maximum), then store at the new last word:
+        # the inline fast path must see the pages memory.grow added.
+        return [
+            Instr("i32.const", (1,)),
+            Instr("memory.grow"),
+            Instr("local.get", (_X,)),
+            Instr("i32.add"),
+            Instr("local.set", (_X,)),
+            Instr("memory.size"),
+            Instr("i32.const", (16,)),
+            Instr("i32.shl"),
+            Instr("i32.const", (8,)),
+            Instr("i32.sub"),
+            Instr("local.get", (_Y,)),
+            Instr("i64.store", (0,)),
+        ]
+    if kind == "if":
+        cond = _counter_is(draw, level) if level else [Instr("local.get", (_X,))]
+        inner = labels + ("if",)
+        return cond + [
+            Instr("if", (BlockType(), _stmts(draw, inner, level),
+                         _stmts(draw, inner, level)))
+        ]
+    if kind == "exit":
+        return _exit_stmt(draw, labels, level)
+    if kind == "trap":  # traps on the loop's last iteration
+        k = _COUNTERS + draw(st.integers(0, level - 1))
+        if draw(st.booleans()):
+            return [
+                Instr("local.get", (k,)),
+                Instr("i32.eqz"),
+                Instr("if", (BlockType(), [Instr("unreachable")], [])),
+            ]
+        return [
+            Instr("i32.const", (1000,)),
+            Instr("local.get", (k,)),
+            Instr("i32.div_u"),
+            Instr("local.set", (_X,)),
+        ]
+    return _loop_nest(draw, labels, level)
+
+
+def _stmts(draw, labels, level):
+    out = []
+    for _ in range(draw(st.integers(0, 3))):
+        out += _stmt(draw, labels, level)
+    return out
+
+
+@st.composite
+def _loop_programs(draw):
+    """A function body whose loop nests are call-free. The nests sit in a
+    void block (exit target) inside an i32 block (exit target carrying a
+    value); with a leading call the outer blocks stay per-block code and
+    every nest is a superblock exiting to labels outside itself."""
+    labels = ("value", "exit")
+    inner = _loop_nest(draw, labels, 0) + _stmts(draw, labels, 0)
+    if draw(st.booleans()):
+        inner = [Instr("i32.const", (5,)), Instr("call", (0,)), Instr("drop")] + inner
+    # Code between the two labels' ends, so exits to the wrong one show.
+    count = [
+        Instr("global.get", (0,)),
+        Instr("i32.const", (1,)),
+        Instr("i32.add"),
+        Instr("global.set", (0,)),
+    ]
+    return [
+        Instr(
+            "block",
+            (
+                BlockType((), (I32,)),
+                [Instr("block", (BlockType(), inner)), *count,
+                 Instr("local.get", (_X,))],
+            ),
+        ),
+        Instr("local.get", (_Y,)),
+        Instr("i32.wrap_i64"),
+        Instr("i32.add"),
+    ]
+
+
+def _build_loop_module(body):
+    builder = ModuleBuilder()
+    builder.add_memory(2, 3)
+    builder.add_global(I32, 0, mutable=True)
+    builder.add_function(
+        "helper", FuncType((I32,), (I32,)), [], [Instr("local.get", (0,))]
+    )
+    builder.add_function(
+        "fuzz", FuncType((I32, I32), (I32,)),
+        [I32] * _MAX_LEVEL + [I32, I64, F64], body, export=True,
+    )
+    module = builder.build()
+    validate_module(module)  # the generator only builds valid programs
+    return module
+
+
+def _superblocks(module):
+    fuzz = compile_module(module)[1]
+    return thread_function(fuzz, module).superblocks
+
+
+@given(_loop_programs())
+@settings(deadline=None)
+def test_loop_nests_observationally_equal(body):
+    """Unmetered runs take the superblocks; results, traps, memory,
+    globals and ``instructions_executed`` must match the interpreter."""
+    module = _build_loop_module(body)
+    assert _superblocks(module), "every generated loop nest is eligible"
+    _assert_tiers_agree(module, fuel=None)
+
+
+@given(_loop_programs())
+@settings(deadline=None)
+def test_loop_nests_fuel_sweep(body):
+    """Metered runs fall back to the per-block closures inside the same
+    regions: OutOfFuel must fire at the same instruction as in interp."""
+    module = _build_loop_module(body)
+    n = _observe(module, "interp", None)["executed"]
+    for fuel in sorted({0, 1, 5, n // 3, n // 2, max(n - 1, 0), n, n + 1}):
+        _assert_tiers_agree(module, fuel)
+
+
+def test_too_deeply_nested_loop_keeps_per_block_closures():
+    """A nest deeper than Python can express stays per-block code."""
+    inner = [Instr("local.get", (_X,)), Instr("i32.const", (1,)), Instr("i32.add"),
+             Instr("local.set", (_X,))]
+    for _ in range(120):
+        inner = [Instr("local.get", (0,)), Instr("if", (BlockType(), inner, []))]
+    body = [
+        Instr("i32.const", (50,)),
+        Instr("local.set", (_COUNTERS,)),
+        Instr("block", (BlockType(), [Instr("loop", (BlockType(), [
+            Instr("local.get", (_COUNTERS,)),
+            Instr("i32.eqz"),
+            Instr("br_if", (1,)),
+            Instr("local.get", (_COUNTERS,)),
+            Instr("i32.const", (1,)),
+            Instr("i32.sub"),
+            Instr("local.set", (_COUNTERS,)),
+            *inner,
+            Instr("br", (0,)),
+        ]))])),
+        Instr("local.get", (_X,)),
+    ]
+    module = _build_loop_module(body)
+    assert not _superblocks(module)
+    _assert_tiers_agree(module, fuel=None)
+
+
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_polybench_kernels_identical(name):
     """Polybench kernels: same checksum, same instruction count, same fuel
@@ -169,6 +468,10 @@ def test_polybench_kernels_identical(name):
         result = inst.invoke("kernel", n)
         per_tier[tier] = (result, inst.instructions_executed, inst.fuel)
     assert per_tier["threaded"] == per_tier["interp"]
+    # Unmetered, the kernel's loop nests run as superblocks.
+    inst = instantiate(module, tier="threaded")
+    result = inst.invoke("kernel", n)
+    assert (result, inst.instructions_executed) == per_tier["interp"][:2]
 
 
 def test_guest_interpreter_identical():
