@@ -10,7 +10,7 @@ match, including on every early-exit path a fuel limit can produce.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.kernels import KERNELS
 from repro.minilang import build
@@ -132,19 +132,38 @@ def _assert_tiers_agree(module, fuel):
     interp = _observe(module, "interp", fuel)
     threaded = _observe(module, "threaded", fuel)
     assert threaded == interp
+    return interp
+
+
+#: Fuel budget that decides whether a random program terminates. The
+#: generator can build non-terminating programs (``(loop (br 0))``), which
+#: never return when run unmetered, so only programs that finish within
+#: this budget are also compared without a fuel limit, and the fuel sweep
+#: takes its baseline under it.
+_TERMINATION_FUEL = 50_000
+
+
+def _terminates(observation) -> bool:
+    return observation["outcome"] != ("trap", "OutOfFuel")
+
+
+_SPIN = [Instr("loop", (BlockType(), [Instr("br", (0,))]))]
 
 
 @given(st.lists(_body, max_size=15), st.sampled_from([(), (I32,)]))
+@example(_SPIN, ())
 @settings(max_examples=250, deadline=None)
 def test_random_programs_observationally_equal(body, results):
     module = _build_module(body, results)
     if module is None:
         return  # validator rejected: nothing to compare
-    _assert_tiers_agree(module, fuel=50_000)
-    _assert_tiers_agree(module, fuel=None)
+    metered = _assert_tiers_agree(module, fuel=_TERMINATION_FUEL)
+    if _terminates(metered):
+        _assert_tiers_agree(module, fuel=None)
 
 
 @given(st.lists(_body, max_size=15), st.sampled_from([(), (I32,)]))
+@example(_SPIN, ())
 @settings(max_examples=60, deadline=None)
 def test_random_programs_fuel_sweep(body, results):
     """Every fuel limit — including ones that cut execution mid-block —
@@ -152,7 +171,7 @@ def test_random_programs_fuel_sweep(body, results):
     module = _build_module(body, results)
     if module is None:
         return
-    baseline = _observe(module, "interp", None)
+    baseline = _observe(module, "interp", _TERMINATION_FUEL)
     n = baseline["executed"]
     limits = sorted({0, 1, 2, 3, n // 3, n // 2, max(n - 1, 0), n, n + 1})
     for fuel in limits:
