@@ -211,15 +211,13 @@ def cmd_profile(args) -> int:
 def _print_superblocks(inst) -> None:
     """Per-function superblock counts of the threaded tier (profiling ran
     on the interpreter, so functions are threaded here if needed)."""
-    from repro.wasm import CompiledFunction, thread_function
+    from repro.wasm import CompiledFunction, threaded_code
 
     rows = []
     for fn in inst.funcs:
         if not isinstance(fn, CompiledFunction):
             continue
-        if fn.threaded is None:
-            fn.threaded = thread_function(fn, inst.module)
-        sbs = fn.threaded.superblocks
+        sbs = threaded_code(fn, inst.module).superblocks
         if sbs:
             rows.append((fn.name or "?", len(sbs), " ".join(sbs.values())))
     print(f"\nsuperblocks (call-free loop nests, threaded tier): "

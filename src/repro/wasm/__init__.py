@@ -53,7 +53,7 @@ from .module import (
 from .printer import print_module
 from .simd import canon_v128, f64x2, f64x2_lanes, i32x4, i32x4_lanes, v128_to_int
 from .text import parse_module
-from .threaded import ThreadedCode, thread_function
+from .threaded import ThreadedCode, thread_function, threaded_code
 from .types import (
     F32,
     F64,
@@ -129,6 +129,7 @@ __all__ = [
     "parse_module",
     "print_module",
     "thread_function",
+    "threaded_code",
     "v128_to_int",
     "validate_module",
 ]

@@ -39,8 +39,9 @@ _KEY_ATTR = "_codecache_key"
 #: reused for a module that now compiles differently — the analogue of a
 #: machine-code version tag in an on-disk object cache. "2" added the
 #: vector ISA (v128), shared-memory atomics and the guest-thread ops; "3"
-#: compiles call-free loop nests into superblocks.
-ISA_VERSION = "repro-isa-3"
+#: compiles call-free loop nests into superblocks; "4" lowers integer
+#: division, remainder, rotates, bit counts and float truncation inline.
+ISA_VERSION = "repro-isa-4"
 
 
 def module_key(module: Module) -> str:

@@ -38,7 +38,7 @@ from .memory import LinearMemory
 from .module import Module
 from .ops import BINOPS, UNOPS
 from .simd import SIMD_EXTRACT_OPS, SIMD_REPLACE_OPS, canon_v128
-from .threaded import Frame, thread_function
+from .threaded import Frame, threaded_code
 from .types import FuncType, ValType
 from .validation import validate_module
 from .values import (
@@ -403,10 +403,7 @@ class Instance:
             raise CallStackExhausted(
                 f"call depth exceeded {self.call_depth_limit}"
             )
-        tc = fn.threaded
-        if tc is None:
-            tc = thread_function(fn, self.module)
-            fn.threaded = tc
+        tc = threaded_code(fn, self.module)
         locals_ = args + [default_value(t) for t in fn.local_types]
         stack: list = []
         frame = Frame(self, depth)

@@ -29,7 +29,10 @@ Four techniques carry the speedup:
   state (loads, stores, div/rem, float→int truncation, globals,
   ``memory.*``) is materialised eagerly, in flat-code order, so the
   sequence of observable effects and the trap points are identical to the
-  reference tier.
+  reference tier. Every scalar integer operator is generated inline:
+  div/rem by a constant that cannot trap is a pure expression, and
+  div/rem by anything else and the float→int truncations raise their
+  traps from inline guards.
 
 * **Block-level fuel batching** — a prologue in each block closure charges
   the whole block's flat instruction count against the fuel budget in one
@@ -61,10 +64,15 @@ call boundaries and normal function exit.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (
     IndirectCallTypeMismatch,
+    IntegerDivideByZero,
+    IntegerOverflow,
+    InvalidConversion,
     OutOfBoundsTableAccess,
     UndefinedElement,
     UnreachableExecuted,
@@ -697,6 +705,7 @@ def _int_templates(mask: str, sbias: str, shift: int) -> dict:
         "xor": lambda a, b: f"({a} ^ {b})",
         "shl": lambda a, b: f"(({a} << ({b} & {shift})) & {mask})",
         "shr_u": lambda a, b: f"({a} >> ({b} & {shift}))",
+        "shr_s": lambda a, b: f"(({_signed(a, sbias)} >> ({b} & {shift})) & {mask})",
         "eq": lambda a, b: _cmp(a, b, "=="),
         "ne": lambda a, b: _cmp(a, b, "!="),
         "lt_u": lambda a, b: _cmp(a, b, "<"),
@@ -710,9 +719,11 @@ def _int_templates(mask: str, sbias: str, shift: int) -> dict:
     }
 
 
-#: op → callable(expr, ...) -> expr. Only ops whose semantics are an exact
-#: transliteration of ops.py are inlined; everything else calls the bound
-#: BINOPS/UNOPS function.
+#: op → callable(expr, ...) -> expr: pure templates that mention each
+#: operand once. Only ops whose semantics are an exact transliteration of
+#: ops.py are inlined; :data:`_LOWER_BINOPS`/:data:`_LOWER_UNOPS` cover
+#: the integer ops that need a named operand or a trap guard, and
+#: everything else calls the bound BINOPS/UNOPS function.
 _INLINE_BINOPS: dict = {}
 for _name, _tpl in _int_templates(_M32, _S32, 31).items():
     _INLINE_BINOPS[f"i32.{_name}"] = _tpl
@@ -736,6 +747,11 @@ for _name, _sym in (("add", "+"), ("sub", "-"), ("mul", "*")):
 _INLINE_UNOPS: dict = {
     "i32.eqz": lambda a: f"(0 if {a} else 1)",
     "i64.eqz": lambda a: f"(0 if {a} else 1)",
+    # bit_length() of 0 is 0, so clz needs no zero case.
+    "i32.clz": lambda a: f"(32 - ({a}).bit_length())",
+    "i64.clz": lambda a: f"(64 - ({a}).bit_length())",
+    "i32.popcnt": lambda a: f"({a}).bit_count()",
+    "i64.popcnt": lambda a: f"({a}).bit_count()",
     "f32.neg": lambda a: f"(-{a})",
     "f64.neg": lambda a: f"(-{a})",
     "f32.abs": lambda a: f"abs({a})",
@@ -750,14 +766,110 @@ _INLINE_UNOPS: dict = {
     "f64.promote_f32": lambda a: f"({a})",
 }
 
-#: Operators that can trap; their results are materialised eagerly so the
-#: trap fires in flat-code order relative to stores and other effects.
-_TRAPPING_OPS = frozenset(
-    [f"{t}.{o}" for t in ("i32", "i64")
-     for o in ("div_s", "div_u", "rem_s", "rem_u")]
-    + [f"{t}.trunc_f{s}_{g}" for t in ("i32", "i64")
-       for s in (32, 64) for g in ("s", "u")]
-)
+
+def _lower_rotate(bc, a, au, b, bu, bits, left):
+    """``rotl``/``rotr``: the value and the count are each mentioned twice,
+    so both are named first (a constant count folds)."""
+    if b.isdigit():
+        n = int(b) % bits
+        back = str(bits - n)
+    else:
+        n = bc.name(f"({b} & {bits - 1})")
+        back = f"({bits} - {n})"
+    a = bc.name(a)
+    hi, lo = (f"{a} << {n}", f"{a} >> {back}") if left else (
+        f"{a} >> {n}", f"{a} << {back}")
+    bc.push(f"(({hi} | {lo}) & {(1 << bits) - 1})", au | bu)
+
+
+def _lower_ctz(bc, a, au, bits):
+    a = bc.name(a)
+    bc.push(f"((({a} & -{a}).bit_length() - 1) if {a} else {bits})", au)
+
+
+def _lower_divide(bc, a, au, b, bu, bits, kind):
+    """``div_s``/``div_u``/``rem_s``/``rem_u`` as in :mod:`.values`.
+
+    A constant divisor that cannot trap gives a pure expression; any
+    other divisor is materialised behind inline guards that raise the
+    reference tier's traps at this point in flat-code order.
+    """
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)  # first negative value, unsigned
+    full = 1 << bits
+    signed = kind.endswith("_s")
+    rem = kind.startswith("rem")
+    if b.isdigit() and int(b) and not (kind == "div_s" and int(b) == mask):
+        m = int(b)
+        if not signed:
+            bc.push(f"({a} {'%' if rem else '//'} {m})", au)
+            return
+        d = abs(m - full if m >= half else m)
+        a = bc.name(a)
+        # |a| // d or |a| % d, negated (and re-wrapped) when the signs of
+        # the dividend (rem_s) or of the quotient (div_s) are negative.
+        pos = f"({a} {'%' if rem else '//'} {d})"
+        neg = f"(-(({full} - {a}) {'%' if rem else '//'} {d}) & {mask})"
+        if rem or m < half:
+            bc.push(f"({pos} if {a} < {half} else {neg})", au)
+        else:  # negative divisor: the quotient's sign flips
+            bc.push(f"((-{pos} & {mask}) if {a} < {half} else "
+                    f"(({full} - {a}) // {d}))", au)
+        return
+    b = bc.name(b)
+    bc.emit(f"if {b} == 0: raise {bc.bind(IntegerDivideByZero)}"
+            "('integer divide by zero')")
+    if not signed:
+        bc.push(bc.materialize(f"{a} {'%' if rem else '//'} {b}"))
+        return
+    a = bc.name(a)
+    if not rem:
+        bc.emit(f"if {a} == {half} and {b} == {mask}: raise "
+                f"{bc.bind(IntegerOverflow)}"
+                "('integer overflow in signed division')")
+    d = bc.materialize(f"{b} if {b} < {half} else {full} - {b}")
+    if rem:
+        bc.push(bc.materialize(
+            f"({a} % {d}) if {a} < {half} else (-(({full} - {a}) % {d}) & {mask})"
+        ))
+        return
+    q = bc.materialize(f"({a} if {a} < {half} else {full} - {a}) // {d}")
+    bc.push(bc.materialize(
+        f"{q} if ({a} < {half}) == ({b} < {half}) else (-{q} & {mask})"
+    ))
+
+
+def _lower_trunc(bc, a, au, bits, signed):
+    """Float → int truncation with the reference tier's NaN and range
+    traps (Python compares floats with ints exactly, ±inf included)."""
+    lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed else (
+        0, (1 << bits) - 1)
+    a = bc.name(a)
+    bc.emit(f"if {a} != {a}: raise {bc.bind(InvalidConversion)}"
+            "('invalid conversion to integer: NaN')")
+    bc.emit(f"if not ({lo - 1} < {a} < {hi + 1}): raise "
+            f"{bc.bind(IntegerOverflow)}('integer overflow in float truncation')")
+    bc.push(bc.materialize(
+        f"int({a}) & {(1 << bits) - 1}" if signed else f"int({a})"
+    ))
+
+
+#: op → callable(compiler, a, a_locals, b, b_locals): integer binops
+#: lowered inline through the compiler (named operands, trap guards).
+_LOWER_BINOPS: dict = {}
+#: op → callable(compiler, a, a_locals), likewise for unops.
+_LOWER_UNOPS: dict = {}
+for _t, _bits in (("i32", 32), ("i64", 64)):
+    for _kind in ("div_s", "div_u", "rem_s", "rem_u"):
+        _LOWER_BINOPS[f"{_t}.{_kind}"] = partial(_lower_divide, bits=_bits, kind=_kind)
+    _LOWER_BINOPS[f"{_t}.rotl"] = partial(_lower_rotate, bits=_bits, left=True)
+    _LOWER_BINOPS[f"{_t}.rotr"] = partial(_lower_rotate, bits=_bits, left=False)
+    _LOWER_UNOPS[f"{_t}.ctz"] = partial(_lower_ctz, bits=_bits)
+    # f32 operands are Python floats too; truncation never rounds.
+    for _src in ("f32", "f64"):
+        for _sg in ("s", "u"):
+            _LOWER_UNOPS[f"{_t}.trunc_{_src}_{_sg}"] = partial(
+                _lower_trunc, bits=_bits, signed=_sg == "s")
 
 
 class _Ctx:
@@ -814,6 +926,12 @@ class _BlockCompiler:
         t = self.temp()
         self.emit(f"{t} = {expr}")
         return t
+
+    def name(self, expr: str) -> str:
+        """``expr`` as something cheap to mention more than once."""
+        if expr.isidentifier() or expr.isdigit():
+            return expr
+        return self.materialize(expr)
 
     def spill_local(self, index: int) -> None:
         """Materialise pending entries that read local ``index`` before it
@@ -874,8 +992,8 @@ class _BlockCompiler:
             tpl = _INLINE_BINOPS.get(op)
             if tpl is not None:
                 self.push(tpl(a, b), au | bu)
-            elif op in _TRAPPING_OPS:
-                self.push(self.materialize(f"{self.bind(BINOPS[op])}({a}, {b})"))
+            elif op in _LOWER_BINOPS:
+                _LOWER_BINOPS[op](self, a, au, b, bu)
             else:
                 self.push(f"{self.bind(BINOPS[op])}({a}, {b})", au | bu)
         elif op in UNOPS:
@@ -883,8 +1001,8 @@ class _BlockCompiler:
             tpl = _INLINE_UNOPS.get(op)
             if tpl is not None:
                 self.push(tpl(a), au)
-            elif op in _TRAPPING_OPS:
-                self.push(self.materialize(f"{self.bind(UNOPS[op])}({a})"))
+            elif op in _LOWER_UNOPS:
+                _LOWER_UNOPS[op](self, a, au)
             else:
                 self.push(f"{self.bind(UNOPS[op])}({a})", au)
         elif op in LOAD_OPS:
@@ -1286,12 +1404,6 @@ class _SuperblockCompiler(_BlockCompiler):
             raise _Ineligible("operand from outside the region")
         return self.sym.pop()
 
-    def name(self, expr: str) -> str:
-        """``expr`` as something cheap to mention more than once."""
-        if expr.isidentifier() or expr.isdigit():
-            return expr
-        return self.materialize(expr)
-
     def plan(self, start: int, end: int) -> None:
         """Collect the locals the region uses and give every construct its
         label: which ``while`` a branch to it leaves or restarts."""
@@ -1651,3 +1763,18 @@ def thread_function(fn, module) -> ThreadedCode:
     for sb_id, entry in enumerate(superblocks):
         ops[entry] = ns[f"_sb{sb_id}"]
     return ThreadedCode(ops, costs, mnemonics, n, superblocks)
+
+
+_THREADING_LOCK = threading.Lock()
+
+
+def threaded_code(fn, module) -> ThreadedCode:
+    """``fn``'s threaded form, built on first use. Threads that make a
+    first call at the same moment share one :func:`thread_function` run."""
+    tc = fn.threaded
+    if tc is None:
+        with _THREADING_LOCK:
+            tc = fn.threaded
+            if tc is None:
+                tc = fn.threaded = thread_function(fn, module)
+    return tc

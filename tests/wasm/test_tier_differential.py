@@ -294,6 +294,54 @@ def _loop_nest(draw, labels, level):
     ]
 
 
+_ARITH_BINOPS = ["add", "mul", "xor", "rotl", "rotr", "shr_s",
+                 "div_s", "div_u", "rem_s", "rem_u"]
+_ARITH_UNOPS = ["clz", "ctz", "popcnt"]
+#: Constant right operands at the edges of division: 0 traps, -1 traps
+#: ``div_s`` of INT_MIN, INT_MIN divides only itself.
+_EDGE_DIVISORS = {
+    "i32": [0, 1, -1, 10, 65521, -(2**31)],
+    "i64": [0, 1, -1, 10, 65521, -(2**63)],
+}
+
+
+def _arith_stmt(draw, level):
+    """Update the i32 (``_X``) or i64 (``_Y``) accumulator with an integer
+    operator whose right operand is an edge constant or a loop counter.
+    A counter reaches 0 on its loop's last iteration, where division
+    traps, optionally after storing the accumulator in the same
+    iteration."""
+    t = draw(st.sampled_from(["i32", "i64"]))
+    acc = _X if t == "i32" else _Y
+    op = draw(st.sampled_from(_ARITH_BINOPS + _ARITH_UNOPS))
+    if op in _ARITH_UNOPS:
+        update = [Instr("local.get", (acc,)), Instr(f"{t}.{op}"),
+                  Instr("local.get", (acc,)), Instr(f"{t}.add")]
+    else:
+        pre = []
+        if draw(st.booleans()):
+            rhs = [Instr(f"{t}.const", (draw(st.sampled_from(_EDGE_DIVISORS[t])),))]
+        else:
+            src = (_COUNTERS + draw(st.integers(0, level - 1)) if level
+                   else draw(st.sampled_from([0, 1])))
+            rhs = [Instr("local.get", (src,))]
+            if t == "i64":
+                rhs.append(Instr("i64.extend_i32_s"))
+            if draw(st.booleans()):
+                pre = [Instr("i32.const", (16,)), Instr("local.get", (acc,)),
+                       Instr(f"{t}.store", (0,))]
+        update = pre + [Instr("local.get", (acc,))] + rhs + [Instr(f"{t}.{op}")]
+    if t == "i64":
+        return update + [Instr("local.set", (_Y,))]
+    return update + [
+        Instr("local.tee", (_X,)),
+        Instr("i64.extend_i32_u"),
+        Instr("local.get", (_Y,)),
+        Instr("i64.add"),
+        Instr("local.set", (_Y,)),
+    ]
+
+
 def _stmt(draw, labels, level):
     choices = ["mem", "mem", "arith", "global", "grow", "if"]
     if level:
@@ -304,18 +352,7 @@ def _stmt(draw, labels, level):
     if kind == "mem":
         return _mem_stmt(draw, level)
     if kind == "arith":
-        op = draw(st.sampled_from(["i32.add", "i32.mul", "i32.xor", "i32.rotl"]))
-        src = _COUNTERS + draw(st.integers(0, level - 1)) if level else 0
-        return [
-            Instr("local.get", (_X,)),
-            Instr("local.get", (src,)),
-            Instr(op),
-            Instr("local.tee", (_X,)),
-            Instr("i64.extend_i32_u"),
-            Instr("local.get", (_Y,)),
-            Instr("i64.add"),
-            Instr("local.set", (_Y,)),
-        ]
+        return _arith_stmt(draw, level)
     if kind == "global":
         return [
             Instr("global.get", (0,)),
